@@ -43,8 +43,8 @@ Commands
     --max-regress 15%``); exits non-zero on regression.
 ``lint``
     Run the AST-based invariant linter over the source tree
-    (determinism, kernel purity, registry completeness, batch-dispatch
-    safety, strict-typing ratchet); exits non-zero on any finding
+    (determinism, registry completeness, batch-dispatch safety,
+    strict-typing ratchet); exits non-zero on any finding
     outside the committed baseline.
 ``list``
     Show the available algorithms and scenarios.
@@ -1061,7 +1061,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_p = sub.add_parser(
         "lint",
-        help="run the AST invariant linter (determinism, purity, registries, dispatch, typing)",
+        help="run the AST invariant linter (determinism, registries, dispatch, typing)",
     )
     lint_p.add_argument(
         "--root",

@@ -81,6 +81,15 @@ def _write_all(fd: int, data: bytes) -> None:
         view = view[written:]
 
 
+def _torn_tail(fd: int) -> bool:
+    """True when the file open read-write on ``fd`` is non-empty and its
+    last line has no terminating newline (a writer died mid-record)."""
+    if os.lseek(fd, 0, os.SEEK_END) == 0:
+        return False
+    os.lseek(fd, -1, os.SEEK_END)
+    return os.read(fd, 1) != b"\n"
+
+
 class ResultStore:
     """Reads and appends per-spec JSONL result files.
 
@@ -152,7 +161,9 @@ class ResultStore:
         written with exclusive create (exactly one process wins the
         race; ``path.exists()`` checks would let both write it), and
         the body goes out as one ``O_APPEND`` write, so lines from two
-        appenders never interleave mid-record.
+        appenders never interleave mid-record.  A torn last line left
+        by a killed sweep is closed with a newline first, so the batch's
+        first record never fuses with the fragment.
         """
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -171,13 +182,15 @@ class ResultStore:
         # never be overwritten (a positional header write at offset 0
         # could tear the loser's first record).
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
+            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o644)
             header = {"spec": spec.to_payload(), "format": SPEC_FORMAT}
             lines.insert(0, json.dumps(header, sort_keys=True))
         except FileExistsError:
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            fd = os.open(path, os.O_RDWR | os.O_APPEND)
         try:
             if lines:
+                if _torn_tail(fd):
+                    lines.insert(0, "")
                 _write_all(fd, ("\n".join(lines) + "\n").encode("utf-8"))
         finally:
             os.close(fd)

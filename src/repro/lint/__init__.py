@@ -2,18 +2,14 @@
 
 The repo's core value is *deterministic, byte-identical* simulation, and
 several of its subsystems rely on structural invariants nothing used to
-enforce: the compiled-kernel build only accepts a subset of Python, the
-scenario registries must stay covered by the ``repro check`` audit, and
-no handler module may reach into the event queue's internals.  This
-package checks those invariants **statically**, the way the docstring
-gate ratchets documentation:
+enforce: the scenario registries must stay covered by the ``repro check``
+audit, and no handler module may reach into the event queue's internals.
+This package checks those invariants **statically**, the way the
+docstring gate ratchets documentation:
 
 * :mod:`repro.lint.determinism` -- no wall-clock reads, no ambient
   entropy, no module-level ``random``, no order-dependent set iteration
   in the simulation/summary packages;
-* :mod:`repro.lint.purity` -- ``repro/sim/events.py`` +
-  ``repro/sim/kernel.py`` stay inside the subset that
-  ``tools/build_kernel_ext.py`` can concatenate and compile;
 * :mod:`repro.lint.registry_rules` -- every scenario factory is audited
   by ``repro check`` or explicitly exempted; every memory backend and
   link model has a CLI surface and a test referencing it;

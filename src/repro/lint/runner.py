@@ -2,11 +2,11 @@
 
 :func:`run_lint` is the single programmatic entry point; ``repro lint``
 (:func:`repro.cli.cmd_lint`) is a thin argparse shim over it.  The
-pipeline is: discover ``*.py`` files under the package root (skipping
-generated ``_ckernel*`` artifacts), parse each once, run every enabled
-per-file rule plus the tree-level registry rule, drop findings silenced
-by ``# repro-lint: disable=...`` comments, then partition the survivors
-against the committed baseline (:mod:`repro.lint.baseline`).
+pipeline is: discover ``*.py`` files under the package root, parse
+each once, run every enabled per-file rule plus the tree-level registry
+rule, drop findings silenced by ``# repro-lint: disable=...`` comments,
+then partition the survivors against the committed baseline
+(:mod:`repro.lint.baseline`).
 """
 
 from __future__ import annotations
@@ -15,20 +15,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
-from repro.lint import determinism, dispatch, purity, registry_rules, typing_rules
+from repro.lint import determinism, dispatch, registry_rules, typing_rules
 from repro.lint.baseline import Baseline, load_baseline
 from repro.lint.config import DEFAULT_BASELINE, DEFAULT_ROOT
 from repro.lint.findings import Finding, SourceFile
 
 #: The rule families ``--rules`` may select.
-RULE_FAMILIES: FrozenSet[str] = frozenset(
-    {"determinism", "purity", "registry", "dispatch", "typing"}
-)
+RULE_FAMILIES: FrozenSet[str] = frozenset({"determinism", "registry", "dispatch", "typing"})
 
 #: Per-file rule entry points, keyed by family.
 _FILE_RULES: Dict[str, Callable[[SourceFile], List[Finding]]] = {
     "determinism": determinism.check,
-    "purity": purity.check,
     "dispatch": dispatch.check,
     "typing": typing_rules.check,
 }
@@ -81,15 +78,10 @@ class LintReport:
 
 
 def iter_source_files(root: Path) -> List[Path]:
-    """All lintable ``*.py`` files under ``root``, sorted.
-
-    Generated compiled-kernel artifacts (``_ckernel*``) mirror
-    already-linted sources and are skipped, as are caches.
-    """
+    """All lintable ``*.py`` files under ``root``, sorted; caches are
+    skipped."""
     files: List[Path] = []
     for path in sorted(root.rglob("*.py")):
-        if path.name.startswith("_ckernel"):
-            continue
         if "__pycache__" in path.parts:
             continue
         files.append(path)

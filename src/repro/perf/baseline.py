@@ -8,8 +8,7 @@ repo root::
       "kind": "repro-perf",
       "created": "2026-07-27T12:00:00Z",
       "meta": {"python": ..., "implementation": ..., "platform": ...,
-               "cpu_count": ..., "kernel_variant": "python|compiled",
-               "kernel_variant_reason": ...},
+               "cpu_count": ...},
       "profiles": {
         "full":  {"benchmarks": {"<name>": {"value": ..., "unit": ...,
                                             "higher_is_better": ...,
@@ -72,22 +71,16 @@ PRE_OVERHAUL_DESCRIPTION = (
 
 def environment_meta() -> Dict[str, Any]:
     """The measurement environment recorded in the payload's ``meta``
-    block: interpreter, CPU budget and which kernel variant ran.
+    block: interpreter, platform and CPU budget.
 
     Documentation only (never compared), but essential for judging
-    whether two baselines are comparable at all -- a ``compiled``-kernel
-    number against a pure-Python one is apples to oranges.
+    whether two baselines are comparable at all.
     """
-    from repro.sim.variant import kernel_variant
-
-    variant, reason = kernel_variant()
     return {
         "python": platform.python_version(),
         "implementation": sys.implementation.name,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        "kernel_variant": variant,
-        "kernel_variant_reason": reason,
     }
 
 

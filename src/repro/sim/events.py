@@ -376,32 +376,3 @@ __all__ = [
     "kind_name",
 ]
 
-
-# --- kernel-variant rebind (stripped from the compiled build) ---------
-# When tools/build_kernel_ext.py has produced repro.sim._ckernel and
-# REPRO_KERNEL permits it (see repro.sim.variant), expose the compiled
-# classes under the public names; everything above remains the always-
-# available pure-Python fallback.  The kind-interning tables must be the
-# compiled module's so both variants agree on kind ids.
-from repro.sim import variant as _variant
-
-if _variant.want_compiled():
-    try:
-        from repro.sim import _ckernel as _ckernel
-    except Exception as _exc:  # noqa: BLE001 - any import failure -> fallback
-        if _variant.requested() == "compiled":
-            _variant.mark_python(
-                f"REPRO_KERNEL=compiled but repro.sim._ckernel failed to import "
-                f"({_exc!r}); pure-Python fallback"
-            )
-        del _exc
-    else:
-        EventHandle = _ckernel.EventHandle  # type: ignore[misc]
-        EventLane = _ckernel.EventLane  # type: ignore[misc]
-        EventQueue = _ckernel.EventQueue  # type: ignore[misc]
-        intern_kind = _ckernel.intern_kind
-        kind_name = _ckernel.kind_name
-        _EMPTY = _ckernel._EMPTY
-        _KIND_IDS = _ckernel._KIND_IDS
-        _KIND_NAMES = _ckernel._KIND_NAMES
-        _variant.mark_compiled()

@@ -474,15 +474,3 @@ class Simulator:
 
 __all__ = ["SimulationError", "Simulator"]
 
-
-# --- kernel-variant rebind (stripped from the compiled build) ---------
-# The events module (imported above) has already decided the variant;
-# when the compiled extension is active, its Simulator shares the
-# extension's queue/lane/interning internals, so rebind wholesale.
-from repro.sim import variant as _variant
-
-if _variant.kernel_variant()[0] == "compiled":
-    from repro.sim import _ckernel as _ckernel
-
-    SimulationError = _ckernel.SimulationError  # type: ignore[misc]
-    Simulator = _ckernel.Simulator  # type: ignore[misc]

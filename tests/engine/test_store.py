@@ -111,6 +111,17 @@ class TestStore:
             fh.write('{"key": ["alg1", "nominal(')  # interrupted write
         assert len(store.load(spec)) == 2
 
+    def test_append_after_truncated_line_keeps_every_record(self, tmp_path):
+        """A sweep killed mid-write leaves a torn tail with no newline;
+        the resumed append must not fuse its first record onto it."""
+        spec, store = make_spec(), ResultStore(tmp_path)
+        first, second = self._outcomes(spec)
+        path = store.append(spec, [first])
+        with path.open("a") as fh:
+            fh.write('{"key": ["alg1", "nominal(')  # interrupted write
+        store.append(spec, [second])
+        assert set(store.load(spec)) == {first.key, second.key}
+
     def test_missing_file_loads_empty(self, tmp_path):
         assert ResultStore(tmp_path).load(make_spec()) == {}
 

@@ -3,7 +3,8 @@
 The satellite acceptance bars live here:
 
 * same ``(seed, corpus)`` -> byte-identical genome sequence and
-  coverage map, in-process and across ``REPRO_KERNEL`` variants;
+  coverage map, in-process and across interpreters with different
+  ``PYTHONHASHSEED`` values;
 * the deliberately broken recover-without-resync emulation is caught,
   shrunk to a mutation-minimal genome (complexity <= 6) and pinned as a
   registry-replayable regression that stays red until fixed.
@@ -59,10 +60,10 @@ class TestDeterminism:
         assert a.genomes_run == QUICK["budget"]
         assert a.total_signatures >= 3
 
-    def test_kernel_variants_agree_byte_for_byte(self, tmp_path):
-        """REPRO_KERNEL=python and =compiled produce identical fuzz runs
-        (with no built extension the compiled variant falls back, which
-        must be equally deterministic)."""
+    def test_hash_seeds_agree_byte_for_byte(self, tmp_path):
+        """Two fresh interpreters with different ``PYTHONHASHSEED``
+        values produce identical fuzz runs: no output may depend on
+        string-hash order."""
         probe = (
             "import json, sys\n"
             "from pathlib import Path\n"
@@ -77,16 +78,16 @@ class TestDeterminism:
             "'coverage': corpus.coverage.keys()}, sort_keys=True))\n"
         )
         outputs = {}
-        for variant in ("python", "compiled"):
-            env = {**os.environ, "REPRO_KERNEL": variant,
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                    "PYTHONPATH": str(REPO / "src")}
             proc = subprocess.run(
-                [sys.executable, "-c", probe, str(tmp_path / variant)],
+                [sys.executable, "-c", probe, str(tmp_path / hash_seed)],
                 capture_output=True, text=True, timeout=600, env=env, cwd=REPO,
             )
             assert proc.returncode == 0, proc.stderr
-            outputs[variant] = proc.stdout
-        assert outputs["python"] == outputs["compiled"]
+            outputs[hash_seed] = proc.stdout
+        assert outputs["0"] == outputs["1"]
 
     def test_corpus_reload_skips_already_seen_genomes(self, tmp_path):
         root = tmp_path / "corpus"

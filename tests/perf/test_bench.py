@@ -109,8 +109,7 @@ class TestPayloadSchema:
         assert meta["python"] == platform.python_version()
         assert meta["implementation"] == __import__("sys").implementation.name
         assert meta["cpu_count"] == os.cpu_count()
-        assert meta["kernel_variant"] in ("python", "compiled")
-        assert isinstance(meta["kernel_variant_reason"], str)
+        assert set(meta) == {"python", "implementation", "platform", "cpu_count"}
 
     def test_speedup_vs_reference_computed(self):
         payload = self._payload()
