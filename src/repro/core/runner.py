@@ -22,6 +22,7 @@ point inside the interval (the SAN deployment of Section 1).
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
@@ -600,6 +601,12 @@ class Run:
         """Run to the horizon and return the result bundle."""
         self._install_crashes()
         if isinstance(self.memory, EmulatedMemory):
+            # The emulated path leaves too few long-lived GC-tracked
+            # objects to trigger full collections often, so the dead
+            # cyclic graphs of earlier runs (memory <-> network <->
+            # handler table) would pile up across cells and raise a
+            # campaign's peak RSS; reclaim them first.
+            gc.collect()
             # Seed the replicas from the (possibly scrambled) initial
             # register values and schedule replica crashes.
             self.memory.start(self.horizon)

@@ -107,9 +107,11 @@ from repro.netsim.network import (
     Network,
     PartitionScheduleLinks,
     RampLinks,
+    Route,
     SynchronousLinks,
     TimelyLinks,
 )
+from repro.sim.events import EventLane
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -478,73 +480,31 @@ class ReplicaNode:
     timestamps make that safe -- but refuses to serve reads or to
     certify another replica's resync until its own quorum state-resync
     completes (the ``abd.sync`` round driven by
-    :class:`EmulatedMemory`).
+    :class:`EmulatedMemory`).  The per-kind message handlers live on
+    :class:`EmulatedMemory` (``_replica_*``), so a delivery is one
+    handler call.
     """
+
+    __slots__ = (
+        "index",
+        "node_id",
+        "store",
+        "crashed",
+        "recovering",
+        "writes_applied",
+        "reads_served",
+    )
 
     def __init__(self, index: int, initial: Dict[str, Tuple[Tuple[int, int], Any]]) -> None:
         self.index = index
+        #: The replica's address on the emulation network: clients use
+        #: their non-negative pid, so replicas live on the negative axis.
+        self.node_id = -(index + 1)
         self.store: Dict[str, Tuple[Tuple[int, int], Any]] = dict(initial)
         self.crashed = False
         self.recovering = False
         self.writes_applied = 0
         self.reads_served = 0
-
-    #: Node id on the wire: clients use their non-negative pid, so
-    #: replicas live on the negative axis.
-    @property
-    def node_id(self) -> int:
-        """The replica's address on the emulation network."""
-        return -(self.index + 1)
-
-    def handle(self, message: Message, network: Network, initial_of: Callable[[str], Tuple[Tuple[int, int], Any]]) -> None:
-        """Serve one query or apply one timestamped write, then reply."""
-        if self.crashed:
-            return
-        if message.kind == "abd.read":
-            if self.recovering:
-                return  # amnesiac state must not enter any read quorum
-            op_id, name = message.payload
-            ts, value = self.store.get(name) or initial_of(name)
-            self.reads_served += 1
-            network.send(self.node_id, message.sender, "abd.read-reply", (op_id, name, ts, value))
-        elif message.kind == "abd.sync":
-            if self.recovering:
-                return  # cannot certify state it does not have itself
-            (sync_id,) = message.payload
-            network.send(
-                self.node_id,
-                message.sender,
-                "abd.sync-reply",
-                (sync_id, tuple(sorted(self.store.items()))),
-            )
-        elif message.kind == "abd.transfer":
-            # A membership state transfer: the merged old-config state,
-            # applied monotonically (timestamps arbitrate, so a write
-            # this replica overheard during the window never regresses).
-            # The grant carries a majority-of-old-config's worth of
-            # state -- the same guarantee a resync provides -- so an
-            # amnesiac joiner may start serving reads after applying it.
-            transfer_id, entries = message.payload
-            for name, (ts, value) in entries:
-                current = self.store.get(name)
-                if current is None or ts > current[0]:
-                    self.store[name] = (ts, value)
-            self.recovering = False
-            network.send(self.node_id, message.sender, "abd.transfer-ack", (transfer_id,))
-        elif message.kind == "abd.write":
-            op_id, name, ts, value = message.payload
-            current = self.store.get(name) or initial_of(name)
-            if ts > current[0]:
-                self.store[name] = (ts, value)
-                self.writes_applied += 1
-            # The ack echoes the value this replica received: it is the
-            # quorum certificate's value entry, letting the writer
-            # cross-check that the payload survived the wire (the
-            # value-integrity detector; timestamps alone cannot see a
-            # corrupted value travelling under a valid timestamp).
-            network.send(
-                self.node_id, message.sender, "abd.write-ack", (op_id, name, ts, value)
-            )
 
 
 class _PendingOp:
@@ -563,8 +523,7 @@ class _PendingOp:
         "best_ts",
         "best_value",
         "callback",
-        "done",
-        "retry_handle",
+        "retry_token",
         "attempts",
         "started_at",
     )
@@ -590,8 +549,9 @@ class _PendingOp:
         self.best_ts: Tuple[int, int] = _INITIAL_TS
         self.best_value: Any = None
         self.callback = callback
-        self.done = False
-        self.retry_handle = None
+        # Lane token of the armed retransmission timer (0 is a live
+        # token: test ``is None``, never truthiness).
+        self.retry_token: Optional[int] = None
         self.attempts = 0  # retransmission rounds fired (backoff exponent)
         self.started_at = started_at
 
@@ -701,7 +661,24 @@ class EmulatedMemory(SharedMemory):
         self.network = Network(
             sim, _make_links(self.config.links, rng, dict(self.config.link_params))
         )
-        self.network.install_delivery(self._on_delivery)
+        # The per-kind handler table: each delivery is one call into
+        # the handler for its kind.  Sync replies and transfer acks
+        # address a replica but drive round state machines held here.
+        routes: Dict[str, Route] = {
+            "abd.read": self._replica_read,
+            "abd.write": self._replica_write,
+            "abd.sync": self._replica_sync,
+            "abd.transfer": self._replica_transfer,
+            "abd.read-reply": self._on_read_reply,
+            "abd.write-ack": self._on_write_ack,
+            "abd.sync-reply": self._on_sync_reply,
+            "abd.transfer-ack": self._on_transfer_ack,
+        }
+        for kind, handler in routes.items():
+            self.network.install_route(kind, handler)
+        # Per-operation retransmission timers: cancelled on nearly every
+        # completion, so they ride a columnar lane (payload: the op).
+        self._retry_lane = EventLane("abd-retry", self._retry_op)
         self.replicas: List[ReplicaNode] = []
         self._initial: Dict[str, Tuple[Tuple[int, int], Any]] = {}
         self._write_counters: Dict[str, int] = {}
@@ -1322,7 +1299,7 @@ class EmulatedMemory(SharedMemory):
         op.ts = ts
         op.replies = set()
         self._broadcast_phase(op)
-        if op.retry_handle is None:  # direct writes skip the query phase
+        if op.retry_token is None:  # direct writes skip the query phase
             self._arm_retry(op)
 
     def _broadcast_phase(self, op: _PendingOp) -> None:
@@ -1335,16 +1312,18 @@ class EmulatedMemory(SharedMemory):
         re-evaluate it, so an operation in flight across an install
         follows the config change.
         """
-        name = op.register.name
+        if op.phase == "query":
+            kind = "abd.read"
+            payload: Tuple[Any, ...] = (op.op_id, op.register.name)
+        else:
+            kind = "abd.write"
+            payload = (op.op_id, op.register.name, op.ts, op.value)
+        send = self.network.send
+        pid = op.pid
+        replies = op.replies
         for replica in self._serving:
-            if replica.index in op.replies:
-                continue
-            if op.phase == "query":
-                self.network.send(op.pid, replica.node_id, "abd.read", (op.op_id, name))
-            else:
-                self.network.send(
-                    op.pid, replica.node_id, "abd.write", (op.op_id, name, op.ts, op.value)
-                )
+            if replica.index not in replies:
+                send(pid, replica.node_id, kind, payload)
 
     def _retry_delay(self, op: _PendingOp) -> float:
         """Delay before ``op``'s next retransmission round.
@@ -1365,24 +1344,24 @@ class EmulatedMemory(SharedMemory):
         return delay
 
     def _arm_retry(self, op: _PendingOp) -> None:
-        def retry() -> None:
-            if op.done:
-                return
-            self.retransmissions += 1
-            op.attempts += 1
-            self._broadcast_phase(op)
-            op.retry_handle = self._sim.schedule_after_cancellable(
-                self._retry_delay(op), retry, kind="abd-retry", pid=op.pid
-            )
-
-        op.retry_handle = self._sim.schedule_after_cancellable(
-            self._retry_delay(op), retry, kind="abd-retry", pid=op.pid
+        op.retry_token = self._sim.schedule_lane_after(
+            self._retry_lane, self._retry_delay(op), op, op.pid
         )
 
+    def _retry_op(self, op: _PendingOp) -> None:
+        """Retry-lane consumer: retransmit ``op``'s phase and re-arm.
+
+        Only live tokens fire, and :meth:`_finish` cancels the token, so
+        ``op`` is still pending here.
+        """
+        self.retransmissions += 1
+        op.attempts += 1
+        self._broadcast_phase(op)
+        self._arm_retry(op)
+
     def _finish(self, op: _PendingOp, result: Any) -> None:
-        op.done = True
-        if op.retry_handle is not None:
-            op.retry_handle.cancel()
+        if op.retry_token is not None:
+            self._retry_lane.cancel(op.retry_token)
         del self._ops[op.op_id]
         if self.next_config is not None and self.config.transition == "dual-quorum":
             self.dual_quorum_ops += 1
@@ -1390,39 +1369,77 @@ class EmulatedMemory(SharedMemory):
         op.callback(result)
 
     # ------------------------------------------------------------------
-    # Message handling
+    # Message handlers (the network's per-kind route table)
     # ------------------------------------------------------------------
-    def _on_delivery(self, message: Message) -> None:
-        if message.kind == "abd.sync-reply":
-            # Resync replies address the recovering *replica* (negative
-            # receiver), but the round's state machine lives here -- so
-            # route by kind before the replica dispatch.  Membership
-            # state-transfer collections share the reply kind and route
-            # by round id inside the handler.
-            self._on_sync_reply(message)
-            return
-        if message.kind == "abd.transfer-ack":
-            # Install acks address the transfer coordinator (negative
-            # receiver); the round's state machine also lives here.
-            self._on_transfer_ack(message)
-            return
-        if message.receiver < 0:
-            self.replicas[-message.receiver - 1].handle(
-                message, self.network, self._initial_of
-            )
-            return
-        op = self._ops.get(message.payload[0])
-        if op is None or op.done:
-            return  # late ack of a completed phase
-        if message.kind == "abd.read-reply":
-            self._on_read_reply(op, message)
-        elif message.kind == "abd.write-ack":
-            self._on_write_ack(op, message)
+    def _replica_read(self, message: Message) -> None:
+        """A replica serves one read query."""
+        node = self.replicas[-message.receiver - 1]
+        if node.crashed or node.recovering:
+            return  # amnesiac state must not enter any read quorum
+        op_id, name = message.payload
+        ts, value = node.store.get(name) or self._initial_of(name)
+        node.reads_served += 1
+        self.network.send(
+            node.node_id, message.sender, "abd.read-reply", (op_id, name, ts, value)
+        )
 
-    def _on_read_reply(self, op: _PendingOp, message: Message) -> None:
-        if op.phase != "query":
+    def _replica_write(self, message: Message) -> None:
+        """A replica applies one timestamped write and acks it."""
+        node = self.replicas[-message.receiver - 1]
+        if node.crashed:
             return
-        _, name, ts, value = message.payload
+        payload = message.payload
+        _, name, ts, value = payload
+        current = node.store.get(name) or self._initial_of(name)
+        if ts > current[0]:
+            node.store[name] = (ts, value)
+            node.writes_applied += 1
+        # The ack echoes the value this replica received: it is the
+        # quorum certificate's value entry, letting the writer
+        # cross-check that the payload survived the wire (the
+        # value-integrity detector; timestamps alone cannot see a
+        # corrupted value travelling under a valid timestamp).
+        self.network.send(node.node_id, message.sender, "abd.write-ack", payload)
+
+    def _replica_sync(self, message: Message) -> None:
+        """A replica answers one snapshot request (resync or transfer)."""
+        node = self.replicas[-message.receiver - 1]
+        if node.crashed or node.recovering:
+            return  # cannot certify state it does not have itself
+        (sync_id,) = message.payload
+        self.network.send(
+            node.node_id,
+            message.sender,
+            "abd.sync-reply",
+            (sync_id, tuple(sorted(node.store.items()))),
+        )
+
+    def _replica_transfer(self, message: Message) -> None:
+        """A replica applies one membership state transfer and acks it.
+
+        The merged old-config state is applied monotonically
+        (timestamps arbitrate, so a write this replica overheard during
+        the window never regresses).  The grant carries a
+        majority-of-old-config's worth of state -- the same guarantee a
+        resync provides -- so an amnesiac joiner may start serving
+        reads after applying it.
+        """
+        node = self.replicas[-message.receiver - 1]
+        if node.crashed:
+            return
+        transfer_id, entries = message.payload
+        for name, (ts, value) in entries:
+            current = node.store.get(name)
+            if current is None or ts > current[0]:
+                node.store[name] = (ts, value)
+        node.recovering = False
+        self.network.send(node.node_id, message.sender, "abd.transfer-ack", (transfer_id,))
+
+    def _on_read_reply(self, message: Message) -> None:
+        op_id, name, ts, value = message.payload
+        op = self._ops.get(op_id)
+        if op is None or op.phase != "query":
+            return  # late reply of a completed operation or phase
         replica_index = -message.sender - 1
         if replica_index in op.replies:
             return
@@ -1447,10 +1464,11 @@ class EmulatedMemory(SharedMemory):
             op.value = op.best_value + op.amount
             self._enter_write(op, (op.best_ts[0] + 1, op.pid))
 
-    def _on_write_ack(self, op: _PendingOp, message: Message) -> None:
-        _, name, ts, value = message.payload
-        if op.phase != "write" or ts != op.ts:
-            return
+    def _on_write_ack(self, message: Message) -> None:
+        op_id, name, ts, value = message.payload
+        op = self._ops.get(op_id)
+        if op is None or op.phase != "write" or ts != op.ts:
+            return  # late ack of a completed operation or phase
         replica_index = -message.sender - 1
         if replica_index not in op.replies and value != op.value:
             # The replica echoed back a value other than the one this

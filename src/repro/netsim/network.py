@@ -36,22 +36,32 @@ assumption lives in the environment model, not in the algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Iterable, List, Optional, Protocol, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Protocol, Tuple
 
-from repro.sim.events import EventLane
 from repro.sim.rng import RngRegistry
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One message in flight."""
+class Message(NamedTuple):
+    """One message in flight.
+
+    A plain tuple: :meth:`Network.send` builds it with ``tuple.__new__``
+    (no Python-level constructor frame) and mutating behaviours derive
+    altered copies with ``_replace``.
+    """
 
     sender: int
     receiver: int
     kind: str
     payload: Any
     sent_at: float
+
+
+#: ``Message`` construction without the generated ``__new__`` frame.
+_new_message = tuple.__new__
+
+#: A delivery handler: called once per delivered message.
+Route = Callable[[Message], None]
 
 
 class ChannelBehavior(Protocol):
@@ -309,7 +319,7 @@ class CorruptingLinks:
             if stream.random() < self.rate:
                 self.corrupted += 1
                 mutated = payload[:-1] + (_corrupt_value(payload[-1], stream),)
-                message = replace(message, payload=mutated)
+                message = message._replace(payload=mutated)
         return [(delay, message)]
 
 
@@ -434,55 +444,113 @@ class PartitionScheduleLinks:
 class Network:
     """The message fabric: send, count, deliver through the kernel.
 
-    Delivery callbacks are installed by :class:`~repro.netsim.runtime.MpRun`;
-    the network itself only decides timing/loss and keeps the traffic
-    accounting (sent/delivered/dropped per pid).
+    Delivery handlers are installed by the consumer: one per message
+    kind (:meth:`install_route`, the ABD emulation's handler table) and
+    an optional default for every other kind (:meth:`install_delivery`,
+    how :class:`~repro.netsim.runtime.MpRun` hands everything to its
+    processes).  A kind with neither raises at send time instead of
+    vanishing.  The network itself only decides timing/loss and keeps
+    the traffic accounting (sent/delivered/dropped).
+
+    Every delivery is one *plain* kernel event whose callback is
+    ``partial(route, message)``: the kernel calls the handler directly,
+    with no lane slot and no network frame in between.  Messages are
+    never cancelled, so they need neither an
+    :class:`~repro.sim.events.EventHandle` nor an
+    :class:`~repro.sim.events.EventLane` token; lanes stay with the
+    timers, which are cancelled all the time.
     """
 
     def __init__(self, sim: Any, behavior: ChannelBehavior) -> None:
         self._sim = sim
         self.behavior = behavior
-        self.sent_by_pid: dict[int, int] = {}
-        self.delivered: int = 0
+        self.sent_by_pid: Dict[int, int] = {}
         self.dropped: int = 0
-        self._deliver_cb = None  # type: ignore[assignment]
-        # Message deliveries are the highest-volume event kind, so they
-        # ride a columnar kernel lane: the in-flight Message *is* the
-        # lane payload -- no per-delivery closure allocation.
-        self._lane = EventLane("message", self._fire_delivery)
+        self._scheduled = 0
+        self._routes: Dict[str, Route] = {}
+        self._default: Optional[Route] = None
 
-    def install_delivery(self, callback) -> None:
-        """Set the ``callback(message)`` invoked at each delivery."""
-        self._deliver_cb = callback
+    @property
+    def behavior(self) -> ChannelBehavior:
+        """The channel behaviour deciding each message's fate."""
+        return self._behavior
 
-    def _fire_delivery(self, message: Message) -> None:
-        """Lane consumer: count and hand the message to the runtime."""
-        self.delivered += 1
-        assert self._deliver_cb is not None
-        self._deliver_cb(message)
+    @behavior.setter
+    def behavior(self, behavior: ChannelBehavior) -> None:
+        """Swap the channel model; the next send already uses it.
+
+        The model's hooks are resolved here once rather than per send;
+        overlays (fault-plan partitions, the anomaly schedule) reassign
+        this attribute after construction.
+        """
+        self._behavior = behavior
+        self._delay = behavior.delivery_delay
+        self._plan: Optional[Callable[[Message], List[Tuple[Optional[float], Message]]]] = (
+            getattr(behavior, "delivery_plan", None)
+        )
+
+    def install_delivery(self, callback: Route) -> None:
+        """Set the ``callback(message)`` for kinds without their own route."""
+        self._default = callback
+
+    def install_route(self, kind: str, handler: Route) -> None:
+        """Deliver every message of ``kind`` straight to ``handler(message)``."""
+        self._routes[kind] = handler
+
+    @property
+    def delivered(self) -> int:
+        """Deliveries fired so far.
+
+        Counted on read -- scheduled deliveries minus those still queued
+        in the kernel -- so the delivery itself carries no counting
+        frame.  Exact between kernel batches (after ``run`` returns, or
+        from an event at another instant); a handler reading it mid-batch
+        also counts the batch's not-yet-fired deliveries.
+        """
+        handlers = set(self._routes.values())
+        if self._default is not None:
+            handlers.add(self._default)
+        queued = sum(
+            1
+            for callback in self._sim.queued_callbacks()
+            if type(callback) is partial and callback.func in handlers
+        )
+        return self._scheduled - queued
 
     def send(self, sender: int, receiver: int, kind: str, payload: Any) -> None:
         """Send one message; the channel decides its fate.
 
         A behaviour with the optional ``delivery_plan`` hook may return
         any number of ``(delay, message)`` deliveries per send (mutated
-        payloads, duplicates); plain behaviours yield exactly one fate
-        via ``delivery_delay``.
+        payloads, duplicates -- never a different kind); plain
+        behaviours yield exactly one fate via ``delivery_delay``.
         """
-        message = Message(sender, receiver, kind, payload, self._sim.now)
-        self.sent_by_pid[sender] = self.sent_by_pid.get(sender, 0) + 1
-        plan = getattr(self.behavior, "delivery_plan", None)
-        if plan is not None:
-            fates = plan(message)
-        else:
-            fates = [(self.behavior.delivery_delay(message), message)]
-        for delay, fated in fates:
+        route = self._routes.get(kind, self._default)
+        if route is None:
+            raise KeyError(f"no route installed for message kind {kind!r}")
+        sim = self._sim
+        message = _new_message(Message, (sender, receiver, kind, payload, sim.now))
+        sent = self.sent_by_pid
+        sent[sender] = sent.get(sender, 0) + 1
+        plan = self._plan
+        if plan is None:
+            delay = self._delay(message)
+            if delay is None:
+                self.dropped += 1
+                return
+            if delay <= 0:
+                raise ValueError("channel behaviour produced non-positive delay")
+            self._scheduled += 1
+            sim.schedule_after(delay, partial(route, message), "message", receiver)
+            return
+        for delay, fated in plan(message):
             if delay is None:
                 self.dropped += 1
                 continue
             if delay <= 0:
                 raise ValueError("channel behaviour produced non-positive delay")
-            self._sim.schedule_lane_after(self._lane, delay, fated, pid=receiver)
+            self._scheduled += 1
+            sim.schedule_after(delay, partial(route, fated), "message", receiver)
 
     def broadcast(self, sender: int, n: int, kind: str, payload: Any) -> None:
         """Send to every process except the sender."""
@@ -506,6 +574,7 @@ __all__ = [
     "Network",
     "PartitionScheduleLinks",
     "RampLinks",
+    "Route",
     "SourceChurnLinks",
     "SynchronousLinks",
     "TimelyLinks",

@@ -1,11 +1,15 @@
 """The perf microbenchmarks.
 
-Three families, mirroring the layers of the simulation core:
+Four families, mirroring the layers of the simulation core:
 
 * **kernel throughput** -- events/second through the tuple-heap event
   queue and the fused run loop: staggered (unique timestamps), aligned
   (equal-timestamp batches through the collision buckets), cancellable
   (handle-allocating) and lane (columnar integer-token) variants;
+* **layer throughput** -- messages/second through the netsim fabric
+  (send -> routed delivery) and ABD quorum rounds/second at 3, 5 and 7
+  replicas, so a regression in the emulated message path names its
+  layer instead of only moving the emulated scenario's wall time;
 * **per-scenario run time** -- wall seconds (and derived events/second)
   of a nominal ``alg1`` election at a fixed seed, in both the traced and
   the low-overhead run mode, plus the same election with the registers
@@ -127,7 +131,7 @@ def bench_lane_throughput(
     The cancellable counterpart of :func:`bench_kernel_throughput`:
     every reschedule acquires a lane slot and returns an integer token
     instead of allocating an :class:`EventHandle` -- the pattern the
-    timer service and netsim deliveries run on.
+    timer services and the ABD retransmission timers run on.
     """
     from repro.sim.events import EventLane
 
@@ -158,6 +162,131 @@ def bench_lane_throughput(
             "best_wall_s": best,
         },
     )
+
+
+# ----------------------------------------------------------------------
+# Layer throughput: netsim fabric and ABD quorum rounds
+# ----------------------------------------------------------------------
+def bench_netsim_throughput(
+    messages: int = 100_000,
+    chains: int = 8,
+    repeats: int = 3,
+    name: str = "netsim_messages_per_sec",
+) -> BenchResult:
+    """Messages/second sent and delivered through :class:`Network`.
+
+    ``chains`` ping-pong pairs over :class:`SynchronousLinks`, delivered
+    through a per-kind route (the ABD emulation's wiring): every
+    delivery answers with one send, so each message costs one
+    ``Network.send``, one kernel event and one handler call, until
+    ``messages`` deliveries fired.
+    """
+    from repro.netsim.network import Message, Network, SynchronousLinks
+
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        sim = Simulator(trace_events=False)
+        net = Network(sim, SynchronousLinks(0.25))
+        send = net.send
+
+        def pong(message: Message) -> None:
+            send(message.receiver, message.sender, "ping", message.payload)
+
+        net.install_route("ping", pong)
+        for ch in range(chains):
+            net.send(2 * ch, 2 * ch + 1, "ping", ch)
+        started = time.perf_counter()
+        sim.run(max_events=messages)
+        best = min(best, time.perf_counter() - started)
+    return BenchResult(
+        name=name,
+        value=messages / best,
+        unit="messages/s",
+        higher_is_better=True,
+        meta={
+            "messages": messages,
+            "chains": chains,
+            "repeats": repeats,
+            "best_wall_s": best,
+        },
+    )
+
+
+def bench_abd_quorum_rounds(
+    replicas: int = 3,
+    operations: int = 3_000,
+    repeats: int = 3,
+    name: str = "abd_quorum_rounds_per_sec_r3",
+) -> BenchResult:
+    """Quorum rounds/second of the ABD emulation over synchronous links.
+
+    One writer and one reader alternate operations on an atomic
+    register, each issued when the previous one completes: a write is
+    one round (broadcast, majority of acks) and an atomic read two (the
+    query and its write-back).  The wall time covers the whole protocol
+    path -- ``Network.send``, kernel dispatch, the replica and client
+    handlers and the completion bookkeeping -- at ``replicas`` replicas.
+    """
+    from repro.memory.emulated import EmulatedMemory, EmulationConfig
+    from repro.sim.rng import RngRegistry
+
+    best = float("inf")
+    rounds = 0
+    for _ in range(max(1, repeats)):
+        sim = Simulator(trace_events=False)
+        mem = EmulatedMemory(
+            clock=lambda: sim.now,
+            sim=sim,
+            rng=RngRegistry(0),
+            config=EmulationConfig(replicas=replicas, consistency="atomic"),
+            log_reads=False,
+        )
+        reg = mem.create_register("R", owner=0, initial=0)
+        mem.start(horizon=float("inf"))
+        issued = [0]
+
+        def next_op(_: Any = None) -> None:
+            if issued[0] >= operations:
+                return
+            issued[0] += 1
+            if issued[0] % 2:
+                mem.emu_write(0, reg, issued[0], next_op)
+            else:
+                mem.emu_read(1, reg, next_op)
+
+        sim.schedule_at(0.0, next_op, kind="bench")
+        started = time.perf_counter()
+        sim.run()
+        best = min(best, time.perf_counter() - started)
+        rounds = mem.writes_completed + mem.reads_completed + mem.write_backs
+    return BenchResult(
+        name=name,
+        value=rounds / best,
+        unit="rounds/s",
+        higher_is_better=True,
+        meta={
+            "replicas": replicas,
+            "operations": operations,
+            "rounds": rounds,
+            "repeats": repeats,
+            "best_wall_s": best,
+        },
+    )
+
+
+def _layer_benches(messages: int, operations: int) -> List[BenchResult]:
+    """The netsim and ABD-round layer entries of a profile."""
+    out = [bench_netsim_throughput(messages=messages, repeats=5)]
+    out.extend(
+        bench_abd_quorum_rounds(
+            replicas=replicas,
+            operations=operations,
+            repeats=3,
+            name=f"abd_quorum_rounds_per_sec_r{replicas}",
+        )
+        for replicas in (3, 5, 7)
+    )
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +449,7 @@ def _collect_full() -> List[BenchResult]:
         ),
         bench_lane_throughput(events=100_000, chains=4, repeats=5),
     ]
+    out.extend(_layer_benches(messages=100_000, operations=3_000))
     out.extend(
         bench_scenario(
             n=16, horizon=2000.0, fast=False, name="scenario_alg1_n16_traced_wall_s"
@@ -363,6 +493,7 @@ def _collect_quick() -> List[BenchResult]:
         ),
         bench_lane_throughput(events=25_000, chains=4, repeats=5),
     ]
+    out.extend(_layer_benches(messages=25_000, operations=1_000))
     out.extend(
         bench_scenario(
             n=8,
@@ -420,8 +551,10 @@ def collect_profile(profile: str) -> Dict[str, BenchResult]:
 __all__ = [
     "BenchResult",
     "PROFILES",
+    "bench_abd_quorum_rounds",
     "bench_kernel_throughput",
     "bench_lane_throughput",
+    "bench_netsim_throughput",
     "bench_scenario",
     "bench_sweep_sharded",
     "bench_sweep_throughput",

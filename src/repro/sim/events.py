@@ -38,14 +38,15 @@ Two bookkeeping details keep the hybrid exact:
 ``kind_id`` is an interned integer id for the event-kind label
 (``"step"``, ``"timer"``, ...): interning happens once per distinct
 string, so the hot path never hashes label strings into per-event
-records.  ``handle`` is ``None`` on the dominant schedule-and-fire path.
+records.  ``handle`` is ``None`` on the dominant schedule-and-fire path
+(netsim message deliveries included: they are never cancelled).
 Cancellation comes in two flavours: :meth:`EventQueue.push_cancellable`
 allocates an :class:`EventHandle` (the O(1) lazy-cancel trick: the entry
 stays queued and the run loop skips it when popped), while the
-high-volume cancellable kinds -- timers, netsim message deliveries -- go
+high-volume cancellable kinds -- timers, ABD retransmission timers -- go
 through a columnar :class:`EventLane` whose *integer* tokens index
-preallocated payload/generation columns, so arming a timer or sending a
-message allocates no handle object at all.
+preallocated payload/generation columns, so arming a timer allocates no
+handle object at all.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ class EventLane:
     int); cancelling or firing bumps the slot's generation so any stale
     queue entry still referencing the old token is skipped when popped
     (the same lazy-cancel contract as :class:`EventHandle`, without the
-    per-event handle allocation -- the timer services and the netsim
-    message fabric are the intended users).
+    per-event handle allocation -- the timer services and the ABD
+    retransmission timers are the intended users).
 
     ``consume`` is the single per-lane delivery function, called with
     the stored payload when a live token fires; when ``consume`` is

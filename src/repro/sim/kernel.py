@@ -21,8 +21,9 @@ Scheduling comes in three flavours:
   low-volume users);
 * :meth:`Simulator.schedule_lane_after` schedules through a columnar
   :class:`~repro.sim.events.EventLane` and returns an *integer* token --
-  the allocation-free cancellable path used by the two dominant
-  high-volume kinds, timer events and netsim message deliveries.
+  the allocation-free cancellable path of the high-volume cancellable
+  kinds: timer events and ABD retransmission timers.  Netsim message
+  deliveries are never cancelled, so they take the plain path.
 
 **Batch dispatch.**  The run loop drains all events sharing the current
 virtual timestamp as one *batch*: the heap yields the first event at
@@ -42,7 +43,7 @@ to the queue in exact order.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.sim.events import (
     _EMPTY,
@@ -470,6 +471,19 @@ class Simulator:
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
         return len(self._queue)
+
+    def queued_callbacks(self) -> Iterator[Any]:
+        """The callback slot of every queued entry, in no set order.
+
+        A cold-path view for on-read accounting (netsim's ``delivered``
+        counter); lane entries yield their :class:`EventLane`.  Entries
+        of a batch the run loop is draining are no longer queued.
+        """
+        for entry in self._heap:
+            yield entry[4]
+        for bucket in self._buckets.values():
+            for entry in bucket:
+                yield entry[4]
 
 
 __all__ = ["SimulationError", "Simulator"]

@@ -9,10 +9,12 @@ fault events.
 
 from __future__ import annotations
 
+import gc
 import json
 
 from repro.engine.spec import ExperimentSpec
 from repro.engine.worker import run_cell
+from repro.memory.emulated import EmulatedMemory
 from repro.faults.campaign import (
     CampaignConfig,
     pinned_repro,
@@ -127,3 +129,22 @@ def test_default_chaos_plan_is_a_legal_timeline():
     kinds = [event.kind for event in plan]
     assert "replica-crash" in kinds and "partition" in kinds
     assert "message-storm" in kinds
+
+
+def test_campaign_keeps_at_most_one_emulation_alive():
+    # Each plan's run graph (memory <-> network <-> handler table) is
+    # cyclic garbage once its summary exists.  An emulated run allocates
+    # too few GC-tracked objects to trip a full collection on its own,
+    # so without the collection at the start of every emulated run the
+    # dead graphs pile up across plans and inflate a campaign's RSS.
+    # No gc.collect() here: the test observes what the program does.
+    live = []
+
+    def progress(index, summary, count):
+        live.append(sum(1 for obj in gc.get_objects() if isinstance(obj, EmulatedMemory)))
+
+    config = CampaignConfig(plans=4, seed=0, horizon=2000.0, shrink=False)
+    result = run_campaign(config, progress=progress)
+    assert result.plans_run == 4
+    assert len(live) == 4
+    assert max(live) <= 1, live

@@ -317,3 +317,24 @@ def test_scrambled_initial_values_seed_replicas():
     mem.emu_read(1, reg, got.append)
     sim.run(until=5.0)
     assert got == [99]
+
+
+def test_unroutable_message_kind_raises():
+    # Every protocol kind has a handler in the route table; a kind
+    # outside it is a wiring bug and must not vanish silently.
+    sim, mem, reg = make_memory()
+    with pytest.raises(KeyError, match="abd.bogus"):
+        mem.network.send(0, -1, "abd.bogus", (1, "PROG"))
+
+
+def test_late_replies_of_completed_ops_are_ignored():
+    # Duplicated acks and replies land after their quorum completed;
+    # the handlers drop them without touching any operation.
+    sim, mem, reg = make_memory(links="duplication", link_params={"delta": 0.25, "rate": 1.0})
+    done = []
+    sim.schedule_at(1.0, lambda: mem.emu_write(0, reg, 9, done.append))
+    sim.schedule_at(10.0, lambda: mem.emu_read(1, reg, done.append))
+    sim.run(until=100.0)
+    assert done == [None, 9]
+    assert not mem._ops
+    assert mem.network.delivered == 2 * mem.network.total_sent

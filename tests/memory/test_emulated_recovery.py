@@ -35,7 +35,7 @@ def make_memory(seed: int = 7, horizon: float = 10_000.0, **knobs):
 
 
 class _RecordingNet:
-    """Stub network capturing ``send`` calls (for direct handle() probes)."""
+    """Stub network capturing ``send`` calls (for direct handler probes)."""
 
     def __init__(self):
         self.sent = []
@@ -47,8 +47,6 @@ class _RecordingNet:
 def _msg(sender, receiver, kind, payload, sent_at=0.0):
     return Message(sender=sender, receiver=receiver, kind=kind, payload=payload, sent_at=sent_at)
 
-
-_INITIAL = lambda name: ((0, -1), 0)  # noqa: E731 - trivial initial_of stub
 
 
 # ----------------------------------------------------------------------
@@ -106,17 +104,15 @@ def test_recovering_replica_serves_no_reads_but_applies_writes():
     mem._begin_recovery(node)
     assert node.recovering  # resync is pending; no replies ran yet
 
-    net = _RecordingNet()
-    node.handle(_msg(0, node.node_id, "abd.read", (1, "PROG")), net, _INITIAL)
+    net = mem.network = _RecordingNet()
+    mem._replica_read(_msg(0, node.node_id, "abd.read", (1, "PROG")))
     assert net.sent == []  # amnesiac state must not enter a read quorum
     assert node.reads_served == 0
 
-    node.handle(_msg(-1, node.node_id, "abd.sync", (9,)), net, _INITIAL)
+    mem._replica_sync(_msg(-1, node.node_id, "abd.sync", (9,)))
     assert net.sent == []  # nor certify another replica's resync
 
-    node.handle(
-        _msg(0, node.node_id, "abd.write", (2, "PROG", (1, 0), 5)), net, _INITIAL
-    )
+    mem._replica_write(_msg(0, node.node_id, "abd.write", (2, "PROG", (1, 0), 5)))
     assert node.store["PROG"] == ((1, 0), 5)  # writes apply and ack
     assert [entry[2] for entry in net.sent] == ["abd.write-ack"]
 

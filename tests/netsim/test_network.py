@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.netsim.network import (
+    CorruptingLinks,
+    DuplicatingLinks,
     EventuallyTimelyLinks,
     FairLossyLinks,
     Message,
@@ -169,6 +171,110 @@ class TestNetwork:
         for _ in range(50):
             net.send(0, 1, "X", None)
         assert net.dropped > 0
+
+
+class TestRoutedDelivery:
+    """The network contract under per-kind routes (the ABD handler table)."""
+
+    def _routed(self, behavior):
+        sim = Simulator()
+        net = Network(sim, behavior)
+        inbox = {"PING": [], "PONG": []}
+        for kind, box in inbox.items():
+            net.install_route(kind, lambda m, box=box: box.append((sim.now, m)))
+        return sim, net, inbox
+
+    def test_each_kind_reaches_its_own_handler(self):
+        sim, net, inbox = self._routed(SynchronousLinks(0.5))
+        net.send(0, 1, "PING", 1)
+        net.send(1, 0, "PONG", 2)
+        net.send(0, 2, "PING", 3)
+        sim.run()
+        assert [(t, m.receiver, m.payload) for t, m in inbox["PING"]] == [
+            (0.5, 1, 1),
+            (0.5, 2, 3),
+        ]
+        assert [(t, m.kind, m.payload) for t, m in inbox["PONG"]] == [(0.5, "PONG", 2)]
+
+    def test_counters_exact_with_messages_in_flight(self):
+        sim, net, inbox = self._routed(SynchronousLinks(1.0))
+        for step in range(5):
+            sim.schedule_at(float(step), lambda: net.broadcast(0, 3, "PING", None))
+        sim.run(until=2.5)  # sends at 0 and 1 landed, those at 2 in flight
+        assert net.total_sent == 6
+        assert len(inbox["PING"]) == 4
+        assert net.delivered == 4
+        sim.run()
+        assert net.sent_by_pid == {0: 10}
+        assert net.total_sent == 10
+        assert net.delivered == len(inbox["PING"]) == 10
+        assert net.dropped == 0
+        assert sim.fired_by_kind["message"] == 10
+
+    def test_drops_and_deliveries_partition_the_sends(self):
+        sim, net, inbox = self._routed(FairLossyLinks(make_rng(3), loss=0.4))
+        for i in range(200):
+            net.send(i % 3, (i + 1) % 3, "PONG", i)
+        sim.run()
+        assert net.total_sent == 200
+        assert 0 < net.dropped < 200
+        assert net.delivered == len(inbox["PONG"]) == 200 - net.dropped
+
+    def test_corrupted_copy_reaches_the_kind_handler(self):
+        links = CorruptingLinks(SynchronousLinks(0.25), make_rng(4), rate=1.0)
+        sim, net, inbox = self._routed(links)
+        net.send(0, 1, "PING", ("op", 7))
+        sim.run()
+        ((_, delivered),) = inbox["PING"]
+        assert delivered.kind == "PING"
+        assert delivered.payload[0] == "op"
+        assert delivered.payload[1] != 7
+        assert links.corrupted == 1
+        assert net.delivered == 1
+
+    def test_both_duplicate_copies_reach_the_kind_handler(self):
+        links = DuplicatingLinks(SynchronousLinks(0.25), make_rng(5), rate=1.0, lag=1.0)
+        sim, net, inbox = self._routed(links)
+        net.send(0, 1, "PONG", "x")
+        sim.run()
+        assert [(t, m.payload) for t, m in inbox["PONG"]] == [(0.25, "x"), (1.25, "x")]
+        assert net.total_sent == 1
+        assert net.delivered == 2
+        assert links.duplicated == 1
+
+    def test_reassigned_behavior_applies_to_the_next_send(self):
+        sim, net, inbox = self._routed(SynchronousLinks(0.5))
+        net.send(0, 1, "PING", "before")
+        net.behavior = DuplicatingLinks(SynchronousLinks(2.0), make_rng(6), rate=1.0)
+        net.send(0, 1, "PING", "after")
+        sim.run()
+        assert [(t, m.payload) for t, m in inbox["PING"]] == [
+            (0.5, "before"),
+            (2.0, "after"),
+            (3.0, "after"),
+        ]
+
+    def test_routes_take_precedence_over_the_default(self):
+        sim, net, inbox = self._routed(SynchronousLinks(0.5))
+        other = []
+        net.install_delivery(other.append)
+        net.send(0, 1, "PING", None)
+        net.send(0, 1, "OTHER", None)
+        sim.run()
+        assert len(inbox["PING"]) == 1
+        assert [m.kind for m in other] == ["OTHER"]
+
+    def test_unroutable_kind_raises_instead_of_vanishing(self):
+        sim, net, _ = self._routed(SynchronousLinks(0.5))
+        with pytest.raises(KeyError, match="BOGUS"):
+            net.send(0, 1, "BOGUS", None)
+        assert net.total_sent == 0
+
+    def test_message_is_a_plain_tuple(self):
+        message = msg(payload=(1, 2))
+        assert isinstance(message, tuple)
+        changed = message._replace(payload=(1, 3))
+        assert changed.payload == (1, 3) and changed.kind == message.kind
 
 
 class TestPartitionScheduleLinks:

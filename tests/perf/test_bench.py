@@ -19,8 +19,11 @@ from repro.perf.baseline import (
 from repro.perf.bench import (
     PROFILES,
     BenchResult,
+    _layer_benches,
+    bench_abd_quorum_rounds,
     bench_kernel_throughput,
     bench_lane_throughput,
+    bench_netsim_throughput,
     bench_scenario,
     bench_sweep_sharded,
 )
@@ -61,6 +64,33 @@ class TestKernelBench:
         assert result.name == "kernel_lane_events_per_sec"
         assert result.unit == "events/s"
         assert result.value > 0
+
+
+class TestLayerBench:
+    def test_netsim_messages_per_sec(self):
+        result = bench_netsim_throughput(messages=2_000, chains=2, repeats=1)
+        assert result.name == "netsim_messages_per_sec"
+        assert result.unit == "messages/s"
+        assert result.value > 0
+
+    @pytest.mark.parametrize("replicas", [3, 5, 7])
+    def test_abd_quorum_rounds_per_sec(self, replicas):
+        result = bench_abd_quorum_rounds(
+            replicas=replicas, operations=40, repeats=1, name=f"abd_r{replicas}"
+        )
+        assert result.unit == "rounds/s"
+        assert result.value > 0
+        # 20 writes (one round each) + 20 atomic reads (query + write-back).
+        assert result.meta["rounds"] == 60
+
+    def test_profile_entries_are_named_per_replica_count(self):
+        names = [r.name for r in _layer_benches(messages=500, operations=20)]
+        assert names == [
+            "netsim_messages_per_sec",
+            "abd_quorum_rounds_per_sec_r3",
+            "abd_quorum_rounds_per_sec_r5",
+            "abd_quorum_rounds_per_sec_r7",
+        ]
 
 
 class TestScenarioBench:

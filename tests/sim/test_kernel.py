@@ -188,3 +188,14 @@ class TestRunLoop:
         sim.schedule_at(1.0, lambda: None)
         sim.schedule_at(2.0, lambda: None)
         assert sim.pending() == 2
+
+    def test_queued_callbacks_cover_heap_and_collision_buckets(self):
+        sim = Simulator()
+        callbacks = [lambda: None for _ in range(4)]
+        sim.schedule_at(1.0, callbacks[0])
+        sim.schedule_at(1.0, callbacks[1])  # collides: lands in a bucket
+        sim.schedule_at(1.0, callbacks[2])
+        sim.schedule_at(2.0, callbacks[3])
+        assert sorted(map(id, sim.queued_callbacks())) == sorted(map(id, callbacks))
+        sim.run(until=1.5)
+        assert list(sim.queued_callbacks()) == [callbacks[3]]
